@@ -43,7 +43,7 @@ except ModuleNotFoundError:  # pragma: no cover
 from repro.core.engine import MarginalReleaseEngine  # noqa: E402
 from repro.domain import Schema  # noqa: E402
 from repro.queries import MarginalQuery, MarginalWorkload, all_k_way  # noqa: E402
-from repro.shards import ShardedRecordSource, StreamingSourceBuilder  # noqa: E402
+from repro.shards import StreamingSourceBuilder  # noqa: E402
 from repro.sources import RecordSource  # noqa: E402
 
 RESULTS_PATH = Path(__file__).resolve().parent / "results" / "shard_scaling.json"
@@ -92,8 +92,15 @@ def sweep(d: int, workload, configs, n_rows: int, reps: int, seed: int) -> dict:
 
     points = []
     for shards, workers, kind in configs:
-        source = ShardedRecordSource.from_record_source(
-            base, shards=shards, workers=workers, executor=kind, marginal_cache_size=0
+        source = RecordSource(
+            base.codes,
+            base.weights,
+            dimension=d,
+            deduplicate=False,
+            marginal_cache_size=0,
+            shards=shards,
+            workers=workers,
+            executor=kind,
         )
         values = measure(source).values  # warm the pool, check bitwise identity
         for label, exact in reference.items():

@@ -26,9 +26,8 @@ from repro.sources import (
     RecordSource,
     as_count_source,
 )
-from repro.shards import ShardedRecordSource, StreamingSourceBuilder
+from repro.shards import StreamingSourceBuilder
 from repro.store import (
-    MappedRecordSource,
     open_source,
     parse_memory_budget,
     write_source,
@@ -94,9 +93,7 @@ __all__ = [
     "CountSource",
     "DenseCubeSource",
     "RecordSource",
-    "ShardedRecordSource",
     "StreamingSourceBuilder",
-    "MappedRecordSource",
     "open_source",
     "parse_memory_budget",
     "write_source",

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.exceptions import BudgetError
 
@@ -127,6 +126,10 @@ def solve_budget_problem(
         for row in constraints_matrix
     ]
     bounds = [(floor, None) if active[i] else (floor, epsilon) for i in range(m)]
+
+    # Imported here: scipy.optimize is most of `import repro`'s cold-start
+    # cost, and only this solver and the LP consistency path need it.
+    from scipy import optimize
 
     result = optimize.minimize(
         objective,

@@ -170,22 +170,33 @@ class ContingencyTable:
     # ------------------------------------------------------------------ #
     # conversions
     # ------------------------------------------------------------------ #
-    def as_source(self, backend: str = "auto", *, limit_bits=None):
+    def as_source(
+        self, backend: str = "auto", *, limit_bits=None, shards=None, workers=None
+    ):
         """The table as a :class:`~repro.sources.base.CountSource`.
 
         ``"dense"`` (and ``"auto"`` below the dense limit) wraps the existing
         vector, sharing its memory; ``"record"`` (and ``"auto"`` above the
-        limit) converts the non-zero cells into a record-native source.  The
-        single table→source dispatch rule — :func:`as_count_source` delegates
-        here for table inputs.
+        limit) converts the non-zero cells into a record-native source,
+        hash-sharded by ``shards`` / ``workers`` (auto-resolved from the
+        non-zero cell count when unset).  The single table→source dispatch
+        rule — :func:`as_count_source` delegates here for table inputs.
         """
+        from repro.shards.partition import resolve_shard_count
         from repro.sources.dense import DenseCubeSource
         from repro.sources.record import RecordSource
         from repro.sources.resolve import materialised_backend
 
         if materialised_backend(self.dimension, backend, limit_bits=limit_bits) == "record":
             return RecordSource.from_vector(
-                self._counts, self.dimension, schema=self._schema, limit_bits=limit_bits
+                self._counts,
+                self.dimension,
+                schema=self._schema,
+                limit_bits=limit_bits,
+                shards=resolve_shard_count(
+                    int(np.count_nonzero(self._counts)), shards, workers=workers
+                ),
+                workers=workers,
             )
         return DenseCubeSource.from_table(self)
 

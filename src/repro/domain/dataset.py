@@ -61,12 +61,11 @@ class Dataset:
         self._name = name or "dataset"
         self._table: Optional[ContingencyTable] = None
         # Deduplicated (codes, weights) encoding, shared by the record-native
-        # source and the dense cube build — plus the sources built from it
-        # (the sharded ones keyed by their layout, so repeated releases reuse
-        # one partition and one worker pool).
+        # source and the dense cube build — plus the record sources built
+        # from it, keyed by their layout, so repeated releases reuse one
+        # partition and one worker pool.
         self._encoded: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._record_source: Optional["CountSource"] = None
-        self._sharded_sources: dict = {}
+        self._sources: dict = {}
 
     # ------------------------------------------------------------------ #
     @property
@@ -152,13 +151,12 @@ class Dataset:
         record-native source above it; ``"dense"`` / ``"record"`` force one.
 
         ``shards`` / ``workers`` partition the record-native source into
-        hash shards computed on a worker pool
-        (:class:`~repro.shards.sharded.ShardedRecordSource`); left unset,
+        hash shards computed on a worker pool (a
+        :class:`~repro.sources.record.RecordSource` with ``shards > 1``); left unset,
         datasets past the auto-shard record threshold shard automatically on
         multi-core machines.  Sharding never changes values.
         """
         from repro.shards.partition import check_shard_knobs, resolve_shard_count
-        from repro.shards.sharded import ShardedRecordSource
         from repro.sources.dense import DenseCubeSource
         from repro.sources.record import RecordSource
         from repro.sources.resolve import select_backend
@@ -183,36 +181,22 @@ class Dataset:
             return DenseCubeSource.from_table(
                 self.contingency_table(limit_bits=limit_bits)
             )
-        codes, weights = self.encoded_counts()
-        if resolved_shards > 1:
-            key = (resolved_shards, workers, executor, limit_bits)
-            source = self._sharded_sources.get(key)
-            if source is None:
-                source = ShardedRecordSource(
-                    codes,
-                    weights,
-                    dimension=self._schema.total_bits,
-                    schema=self._schema,
-                    shards=resolved_shards,
-                    workers=workers,
-                    executor=executor,
-                    deduplicate=False,
-                    limit_bits=limit_bits,
-                )
-                self._sharded_sources[key] = source
-            return source
-        if limit_bits is None and self._record_source is not None:
-            return self._record_source
-        source = RecordSource(
-            codes,
-            weights,
-            dimension=self._schema.total_bits,
-            schema=self._schema,
-            deduplicate=False,
-            limit_bits=limit_bits,
-        )
-        if limit_bits is None:
-            self._record_source = source
+        key = (resolved_shards, workers, executor, limit_bits)
+        source = self._sources.get(key)
+        if source is None:
+            codes, weights = self.encoded_counts()
+            source = RecordSource(
+                codes,
+                weights,
+                dimension=self._schema.total_bits,
+                schema=self._schema,
+                deduplicate=False,
+                limit_bits=limit_bits,
+                shards=resolved_shards,
+                workers=workers,
+                executor=executor,
+            )
+            self._sources[key] = source
         return source
 
     def marginal(self, attributes: Union[int, Iterable[AttributeRef]]) -> np.ndarray:

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 import numpy as np
-from scipy import optimize
 
 from repro.exceptions import ConsistencyError
 from repro.fourier.index import WorkloadFourierIndex
@@ -220,6 +219,10 @@ def fourier_consistency_lp(
     cost = np.zeros(variable_count)
     cost[coefficient_count:] = 1.0
     bounds = [(None, None)] * coefficient_count + [(0.0, None)] * slack_count
+
+    # Imported here: scipy.optimize is most of `import repro`'s cold-start
+    # cost, and only this projection and the convex budget solver need it.
+    from scipy import optimize
 
     result = optimize.linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not result.success:

@@ -17,11 +17,12 @@ no dict lookups, no function calls — so the hot paths stay clean.
 The registered sites:
 
 ``shards.task``
-    Inside the per-shard marginal kernel, before the projection passes run.
+    Inside the per-shard marginal kernel of an in-memory sharded
+    :class:`~repro.sources.record.RecordSource`, before the projection
+    passes run.
 ``store.read``
-    Inside the mapped shard kernel of :class:`~repro.store.mapped.MappedRecordSource`,
-    where a real transient I/O error (e.g. ``EIO`` on a cold page) would
-    surface.
+    The same kernel's site when the shard arrays are memory-mapped, where a
+    real transient I/O error (e.g. ``EIO`` on a cold page) would surface.
 ``store.open``
     Per shard file while :func:`~repro.store.encoded.open_source` maps and
     (with ``verify=True``) re-hashes an encoded source.

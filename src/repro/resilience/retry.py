@@ -4,9 +4,9 @@ A :class:`RetryPolicy` is a small immutable value: how many attempts a unit
 of work gets, which exception classes count as *transient* (and are
 therefore worth retrying), and a deterministic backoff schedule.  It is
 applied at the shard-pool dispatch layer
-(:meth:`~repro.shards.sharded.ShardedRecordSource._reduce_shards` resubmits
-failed shard tasks), on :func:`~repro.store.encoded.open_source` shard
-verification, and anywhere else a pure computation can simply be re-run.
+(:func:`~repro.shards.pool.reduce_shards` resubmits failed shard tasks),
+on :func:`~repro.store.encoded.open_source` shard verification, and
+anywhere else a pure computation can simply be re-run.
 
 Retrying is only sound because the retried units are **pure**: a shard
 kernel is a function of ``(codes, weights, work)``, a store read is a

@@ -1,6 +1,6 @@
 """Stable hash partitioning of record codes, plus shard/worker resolution.
 
-A :class:`~repro.shards.sharded.ShardedRecordSource` splits its deduplicated
+A sharded :class:`~repro.sources.record.RecordSource` splits its deduplicated
 ``(codes, weights)`` arrays into ``S`` shards by a **stable** hash of the
 code: the assignment depends only on the code value and the shard count —
 never on insertion order, process, platform or Python hash randomisation —

@@ -1,4 +1,4 @@
-"""Streaming ingestion: build sharded record sources without the record matrix.
+"""Streaming ingestion: build record sources without the record matrix.
 
 A :class:`StreamingSourceBuilder` ingests record batches — raw code arrays,
 record matrices over a schema, or chunked CSV via
@@ -36,7 +36,6 @@ import numpy as np
 from repro.exceptions import DataError
 from repro.obs import runtime as _obs
 from repro.shards.partition import resolve_shard_count
-from repro.shards.sharded import ShardedRecordSource
 from repro.sources.record import MAX_RECORD_BITS, RecordSource
 from repro.store.layout import parse_memory_budget
 from repro.store.spill import RunSpiller, merge_sorted_runs, spill_threshold_entries
@@ -51,7 +50,7 @@ DEFAULT_MERGE_THRESHOLD = 1 << 20
 
 
 class StreamingSourceBuilder:
-    """Incrementally build a :class:`ShardedRecordSource` from record batches.
+    """Incrementally build a (sharded) :class:`RecordSource` from record batches.
 
     Parameters
     ----------
@@ -335,8 +334,8 @@ class StreamingSourceBuilder:
         shards: Optional[int] = None,
         workers: Optional[int] = None,
         executor: str = "thread",
-    ) -> ShardedRecordSource:
-        """Build the sharded source (auto-resolving the shard count from the
+    ) -> RecordSource:
+        """Build the source (auto-resolving the shard count from the
         ingested row count when ``shards`` is omitted)."""
         codes, weights = self.arrays()
         shard_count = resolve_shard_count(self._rows, shards, workers=workers)
@@ -348,27 +347,17 @@ class StreamingSourceBuilder:
             distinct=int(codes.shape[0]),
             shards=shard_count,
         ):
-            return self._build_source(codes, weights, shard_count, workers, executor)
-
-    def _build_source(
-        self,
-        codes: np.ndarray,
-        weights: np.ndarray,
-        shard_count: int,
-        workers: Optional[int],
-        executor: str,
-    ) -> ShardedRecordSource:
-        return ShardedRecordSource(
-            codes,
-            weights,
-            dimension=self._d,
-            schema=self._schema,
-            shards=shard_count,
-            workers=workers,
-            executor=executor,
-            deduplicate=False,
-            limit_bits=self._limit_bits,
-        )
+            return RecordSource(
+                codes,
+                weights,
+                dimension=self._d,
+                schema=self._schema,
+                deduplicate=False,
+                limit_bits=self._limit_bits,
+                shards=shard_count,
+                workers=workers,
+                executor=executor,
+            )
 
     def write_store(
         self,

@@ -3,8 +3,9 @@
 ``repro.sources`` supplies the exact counts every measurement kernel
 consumes.  :class:`DenseCubeSource` wraps the historical dense count vector;
 :class:`RecordSource` computes any cuboid marginal directly from
-deduplicated ``(codes, weights)`` record arrays and never allocates the full
-domain, which unlocks wide schemas (``d`` up to 62) the dense pipeline
+deduplicated ``(codes, weights)`` record arrays — in memory, hash-sharded
+over a worker pool, or memory-mapped from disk — and never allocates the
+full domain, which unlocks wide schemas (``d`` up to 62) the dense pipeline
 physically cannot serve.  Exact values are bitwise identical across backends
 for integer count data, so seeded releases reproduce exactly no matter which
 backend measured them.
@@ -23,7 +24,6 @@ from repro.sources.resolve import (
     check_backend,
     mapped_count_source,
     select_backend,
-    sharded_record_source,
 )
 
 __all__ = [
@@ -39,5 +39,4 @@ __all__ = [
     "ensure_dense_allowed",
     "mapped_count_source",
     "select_backend",
-    "sharded_record_source",
 ]

@@ -21,6 +21,8 @@ against either representation:
   directly from deduplicated ``(codes, weights)`` record arrays via
   mask-projected bit codes and a weighted ``numpy.bincount`` — it never
   allocates ``2**d`` anything, unlocking wide schemas (``d`` up to 62).
+  The same class covers in-memory, hash-sharded (worker pool) and
+  memory-mapped on-disk arrays; its layout is read off the arrays.
 
 Because the exact counts are integers (and float64 addition of integers
 below ``2**53`` is exact in any order), both backends produce **bitwise

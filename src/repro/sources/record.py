@@ -2,30 +2,48 @@
 
 A :class:`RecordSource` holds deduplicated ``(codes, weights)`` arrays —
 ``codes[i]`` is the packed domain index of one distinct record and
-``weights[i]`` how many tuples carry it.  Any cuboid marginal ``C^alpha x``
-is computed as a weighted ``numpy.bincount`` of the codes projected onto the
-bits of ``alpha`` (the production idiom of workload-marginal libraries:
-project + bincount), costing ``O(k n + 2**k)`` for ``n`` distinct records and
-a ``k``-way marginal — completely independent of the ambient ``2**d``.
+``weights[i]`` how many tuples carry it — as one or more shards.  Any cuboid
+marginal ``C^alpha x`` is computed as a weighted ``numpy.bincount`` of the
+codes projected onto the bits of ``alpha`` (the production idiom of
+workload-marginal libraries: project + bincount), costing ``O(k n + 2**k)``
+for ``n`` distinct records and a ``k``-way marginal — completely independent
+of the ambient ``2**d``.
+
+The layout is read off the shard arrays; nothing else configures it:
+
+* **one in-memory shard** (the default) counts on the calling thread;
+* **several shards** (``shards=S``) are the stable-hash partition of
+  :func:`~repro.shards.partition.partition_codes`.  Each shard runs the same
+  kernel as one task on a shared worker pool
+  (:func:`~repro.shards.pool.reduce_shards`), and the per-shard results are
+  summed in fixed shard order;
+* **memory-mapped shards** (``np.memmap`` arrays, as
+  :func:`repro.store.encoded.open_source` maps them) also return each
+  shard's pages to the OS after its kernel, fire the ``store.read`` fault
+  site instead of ``shards.task``, price the I/O in :meth:`marginal_cost`
+  and refuse process pools, which would pickle (fully materialise) them.
 
 The count weights are integers, and float64 addition of integers below
 ``2**53`` is exact in any order, so these marginals are bitwise identical to
-the dense cube reductions; seeded releases therefore reproduce exactly
-across backends.
+the dense cube reductions for every shard count, worker count and layout;
+seeded releases therefore reproduce exactly across backends.
 """
 
 from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import DataError
-from repro.fourier.index import project_indices
+from repro.fourier.index import project_indices, submasks_array
+from repro.fourier.kernels import fwht_inplace
 from repro.obs import runtime as _obs
 from repro.obs.cachestats import CacheStats
+from repro.resilience import faults as _faults
+from repro.resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.sources.base import (
     DENSE_LIMIT_BITS,
     CountSource,
@@ -36,6 +54,7 @@ from repro.utils.bits import bit_indices, hamming_weight
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.domain.schema import Schema
+    from repro.shards.pool import Worklist
 
 #: Widest supported domain: codes are int64, so bit 62 is the last usable one.
 MAX_RECORD_BITS = 62
@@ -51,6 +70,17 @@ DEFAULT_MARGINAL_CACHE_CELLS = 1 << 21
 #: Transient cell budget of the plane-sharing batch kernel: at most 2**23
 #: int64 plane cells (64 MiB) held at once per kernel invocation.
 PLANE_CELL_BUDGET = 1 << 23
+
+#: Rough per-task dispatch overhead of the worker pool, in kernel cost units
+#: (cells touched).  Used only by the planner's cost model.
+DISPATCH_OVERHEAD = 256.0
+
+#: Cost-model weight of streaming one mapped record entry from disk relative
+#: to touching it in memory.  Page-cache reads are cheap but not free, and a
+#: cold scan pays real I/O; the planner uses this to price direct member
+#: scans (each a full pass over the mapped files) against one shared
+#: batch-root scan refined in memory.
+IO_COST_FACTOR = 4.0
 
 
 class MarginalMemo:
@@ -171,8 +201,81 @@ def projected_marginals(
     return out
 
 
+def _check_dimension(dimension: int) -> int:
+    d = int(dimension)
+    if not (1 <= d <= MAX_RECORD_BITS):
+        raise DataError(
+            f"record sources support 1..{MAX_RECORD_BITS} binary attributes, got {d}"
+        )
+    return d
+
+
+def _batch_marginals(
+    codes: np.ndarray,
+    weights: np.ndarray,
+    work: "Worklist",
+    *,
+    observe: bool = False,
+) -> Dict[int, np.ndarray]:
+    """Every requested marginal of one ``(codes, weights)`` shard.
+
+    ``work`` lists ``(root, members)`` batches whose members are distinct
+    across the list; each batch shares one set of projected bit planes (see
+    :func:`projected_marginals`).  ``observe`` records every batch as a
+    ``source.batch`` span.
+    """
+    out: Dict[int, np.ndarray] = {}
+    for root, members in work:
+        if observe:
+            started = time.perf_counter()
+            with _obs.trace_span("source.batch", root=f"{root:#x}", members=len(members)):
+                out.update(projected_marginals(codes, weights, root, members))
+            _obs.observe("source.batch_seconds", time.perf_counter() - started)
+            _obs.counter_inc("source.batches")
+        else:
+            out.update(projected_marginals(codes, weights, root, members))
+    return out
+
+
+def _shard_kernel(
+    shard: int, codes: np.ndarray, weights: np.ndarray, work: "Worklist"
+) -> Dict[int, np.ndarray]:
+    """One pool task: every requested marginal of one shard.
+
+    Module-level so process pools can pickle it.  In a process-pool child
+    the observability flag is off (it is process-local), so the span
+    degrades to the shared no-op there; thread pools record real per-shard
+    spans on their worker threads.
+
+    A memory-mapped shard fires ``store.read`` (a transient I/O error
+    faulting in a cold page) where an in-memory one fires ``shards.task``;
+    the dispatch layer's retry policy re-runs the shard either way, and the
+    kernel is pure, so recovered totals are bitwise identical.  After the
+    scan the shard's pages go back to the OS, which keeps RSS flat across a
+    multi-shard scan: peak residency is the largest shard times the worker
+    count.  The page cache may keep the pages, so warm re-scans stay fast.
+    """
+    mapped = isinstance(codes, np.memmap)
+    if _faults.ENABLED:
+        _faults.fire("store.read" if mapped else "shards.task", shard=shard)
+    if _obs.ENABLED:
+        with _obs.trace_span("shards.kernel", shard=shard, records=int(codes.shape[0])):
+            out = _batch_marginals(codes, weights, work)
+        if mapped:
+            _obs.counter_inc("store.bytes_read", float(codes.nbytes + weights.nbytes))
+    else:
+        out = _batch_marginals(codes, weights, work)
+    if mapped:
+        # Imported here: the repro.store package imports this module.
+        from repro.store.layout import release_pages
+
+        release_pages(codes)
+        release_pages(weights)
+    return out
+
+
 class RecordSource(CountSource):
-    """Count source over deduplicated encoded records.
+    """Count source over deduplicated encoded records, in one or more shards.
 
     Parameters
     ----------
@@ -195,9 +298,22 @@ class RecordSource(CountSource):
     marginal_cache_size:
         Capacity of the per-source marginal memo (repeat requests for the
         same cuboid are served from cache, as fresh copies); 0 disables it.
-    """
+    shards:
+        Number of stable-hash partitions ``S`` (default 1, unsharded).
+    workers:
+        Worker pool size; defaults to ``min(shards, cores)``.  ``1`` runs
+        the shards serially (still sharded, still bitwise identical).
+    executor:
+        ``"thread"`` (default) or ``"process"`` — see :mod:`repro.shards.pool`.
+    retry_policy:
+        :class:`~repro.resilience.retry.RetryPolicy` applied per shard task
+        at the dispatch layer (default: three immediate attempts on
+        transient failures).  Retried tasks are pure and results are summed
+        in fixed shard order, so recovered runs stay bitwise identical.
 
-    backend = "record"
+    :meth:`from_shards` adopts already-partitioned arrays instead, such as
+    the memory-mapped shard files of an encoded source.
+    """
 
     def __init__(
         self,
@@ -209,12 +325,12 @@ class RecordSource(CountSource):
         deduplicate: bool = True,
         limit_bits: Optional[int] = None,
         marginal_cache_size: int = DEFAULT_MARGINAL_CACHE,
+        shards: int = 1,
+        workers: Optional[int] = None,
+        executor: str = "thread",
+        retry_policy: Optional[RetryPolicy] = None,
     ):
-        d = int(dimension)
-        if not (1 <= d <= MAX_RECORD_BITS):
-            raise DataError(
-                f"record sources support 1..{MAX_RECORD_BITS} binary attributes, got {d}"
-            )
+        d = _check_dimension(dimension)
         code_array = np.asarray(codes, dtype=np.int64).reshape(-1)
         if code_array.size and (
             int(code_array.min()) < 0 or int(code_array.max()) >= (1 << d)
@@ -236,12 +352,68 @@ class RecordSource(CountSource):
                 inverse.reshape(-1), weights=weight_array, minlength=unique.shape[0]
             )
             code_array = unique
-        self._codes = code_array
-        self._weights = weight_array
-        self._d = d
+        shard_count = int(shards)
+        if shard_count < 1:
+            raise DataError(f"shard count must be at least 1, got {shards}")
+        if shard_count == 1:
+            parts = [(code_array, weight_array)]
+        else:
+            # Imported here: the repro.shards package imports this module.
+            from repro.shards.partition import partition_codes
+
+            parts = partition_codes(code_array, weight_array, shard_count)
+        self._adopt(
+            parts,
+            d,
+            schema=schema,
+            limit_bits=limit_bits,
+            memo=MarginalMemo(marginal_cache_size),
+            workers=workers,
+            executor=executor,
+            retry_policy=retry_policy,
+        )
+
+    def _adopt(
+        self,
+        parts: Sequence[Tuple[np.ndarray, np.ndarray]],
+        dimension: int,
+        *,
+        schema: Optional["Schema"],
+        limit_bits: Optional[int],
+        memo: MarginalMemo,
+        workers: Optional[int],
+        executor: str,
+        retry_policy: Optional[RetryPolicy],
+        total_weight: Optional[float] = None,
+        memory_budget: Optional[int] = None,
+    ) -> None:
+        """Bind validated shard arrays and the dispatch configuration."""
+        # Imported here: the repro.shards package imports this module.
+        from repro.shards.partition import resolve_worker_count
+        from repro.shards.pool import check_executor_kind
+
+        self._shards: Tuple[Tuple[np.ndarray, np.ndarray], ...] = tuple(
+            (codes, weights) for codes, weights in parts
+        )
+        self._mapped = all(isinstance(codes, np.memmap) for codes, _ in self._shards)
+        self._executor_kind = check_executor_kind(executor)
+        if self._mapped and self._executor_kind != "thread":
+            raise DataError(
+                "mapped sources only run on thread executors: a process pool "
+                "would pickle (fully materialise) every memmap shard"
+            )
+        self._d = dimension
         self._schema = schema
         self._limit_bits = DENSE_LIMIT_BITS if limit_bits is None else int(limit_bits)
-        self._memo = MarginalMemo(marginal_cache_size)
+        self._memo = memo
+        self._workers = resolve_worker_count(len(self._shards), workers)
+        self._retry = retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
+        self._memory_budget = memory_budget
+        self._total = (
+            float(total_weight)
+            if total_weight is not None
+            else float(sum(float(weights.sum()) for _, weights in self._shards))
+        )
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -268,6 +440,8 @@ class RecordSource(CountSource):
         *,
         schema: Optional["Schema"] = None,
         limit_bits: Optional[int] = None,
+        shards: int = 1,
+        workers: Optional[int] = None,
     ) -> "RecordSource":
         """Build a record source from the non-zero cells of a dense vector."""
         array, d = validate_count_vector(vector, dimension)
@@ -279,9 +453,63 @@ class RecordSource(CountSource):
             schema=schema,
             deduplicate=False,
             limit_bits=limit_bits,
+            shards=shards,
+            workers=workers,
         )
 
+    @classmethod
+    def from_shards(
+        cls,
+        shard_arrays: Sequence[Tuple[np.ndarray, np.ndarray]],
+        *,
+        dimension: int,
+        schema: Optional["Schema"] = None,
+        workers: Optional[int] = None,
+        executor: str = "thread",
+        limit_bits: Optional[int] = None,
+        marginal_cache_size: int = DEFAULT_MARGINAL_CACHE,
+        memory_budget: Optional[int] = None,
+        total_weight: Optional[float] = None,
+    ) -> "RecordSource":
+        """Adopt already-partitioned, deduplicated shard arrays as they are.
+
+        Nothing is validated or copied, so mapped arrays are never read
+        here.  ``total_weight`` (an encoded source's manifest total) spares
+        the pass over the weights.  ``memory_budget`` bounds the resident
+        working set: the marginal memo gets a quarter of it, and
+        :meth:`max_root_cells` keeps the planner's batch roots inside it.
+        """
+        parts = list(shard_arrays)
+        if not parts:
+            raise DataError("a record source needs at least one shard")
+        budget = None if memory_budget is None else int(memory_budget)
+        # A quarter of the budget for cached marginals (float64 cells); the
+        # rest covers mapped pages in flight and kernel transients.
+        cells = DEFAULT_MARGINAL_CACHE_CELLS if budget is None else max(1, budget // (8 * 4))
+        source = cls.__new__(cls)
+        source._adopt(
+            parts,
+            _check_dimension(dimension),
+            schema=schema,
+            limit_bits=limit_bits,
+            memo=MarginalMemo(marginal_cache_size, cells),
+            workers=workers,
+            executor=executor,
+            retry_policy=None,
+            total_weight=total_weight,
+            memory_budget=budget,
+        )
+        return source
+
     # ------------------------------------------------------------------ #
+    @property
+    def backend(self) -> str:
+        """``"record"``, ``"sharded-record"`` or ``"mapped-record"``, read
+        off the layout."""
+        if self._mapped:
+            return "mapped-record"
+        return "sharded-record" if len(self._shards) > 1 else "record"
+
     @property
     def dimension(self) -> int:
         return self._d
@@ -293,22 +521,24 @@ class RecordSource(CountSource):
 
     @property
     def codes(self) -> np.ndarray:
-        """Deduplicated packed domain indices (read-only view)."""
-        view = self._codes.view()
-        view.setflags(write=False)
-        return view
+        """Deduplicated packed domain indices, in shard order (read-only)."""
+        return self._joined(0)
 
     @property
     def weights(self) -> np.ndarray:
-        """Per-code tuple counts (read-only view)."""
-        view = self._weights.view()
+        """Per-code tuple counts, aligned with :attr:`codes` (read-only)."""
+        return self._joined(1)
+
+    def _joined(self, column: int) -> np.ndarray:
+        arrays = [part[column] for part in self._shards]
+        view = arrays[0].view() if len(arrays) == 1 else np.concatenate(arrays)
         view.setflags(write=False)
         return view
 
     @property
     def distinct_records(self) -> int:
-        """Number of distinct stored records."""
-        return int(self._codes.shape[0])
+        """Number of distinct stored records across all shards."""
+        return int(sum(codes.shape[0] for codes, _ in self._shards))
 
     @property
     def limit_bits(self) -> int:
@@ -322,51 +552,93 @@ class RecordSource(CountSource):
 
     @property
     def total(self) -> float:
-        return float(self._weights.sum())
+        return self._total
+
+    @property
+    def shards(self) -> int:
+        """Number of hash partitions."""
+        return len(self._shards)
+
+    @property
+    def shard_sizes(self) -> Tuple[int, ...]:
+        """Distinct record count per shard, in shard order."""
+        return tuple(codes.shape[0] for codes, _ in self._shards)
+
+    @property
+    def workers(self) -> int:
+        """Worker pool size (1 means the shards run serially)."""
+        return self._workers
+
+    @property
+    def executor_kind(self) -> str:
+        """``"thread"`` or ``"process"``."""
+        return self._executor_kind
+
+    @property
+    def shard_arrays(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+        """Per-shard ``(codes, weights)`` arrays (read-only views)."""
+        out = []
+        for codes, weights in self._shards:
+            code_view = codes.view()
+            code_view.setflags(write=False)
+            weight_view = weights.view()
+            weight_view.setflags(write=False)
+            out.append((code_view, weight_view))
+        return tuple(out)
+
+    @property
+    def bytes_mapped(self) -> int:
+        """Bytes of shard files mapped into the address space (0 in memory)."""
+        if not self._mapped:
+            return 0
+        return int(sum(codes.nbytes + weights.nbytes for codes, weights in self._shards))
 
     def __repr__(self) -> str:
         return (
-            f"RecordSource(d={self._d}, distinct={self.distinct_records}, "
-            f"total={self.total:g})"
+            f"RecordSource(backend={self.backend!r}, d={self._d}, "
+            f"shards={self.shards}, workers={self._workers}, "
+            f"distinct={self.distinct_records}, total={self._total:g})"
         )
 
     def describe_layout(self) -> str:
-        return (
-            f"1 shard of {self.distinct_records} distinct records "
-            "(unsharded, 1 worker)"
+        """One-line shard layout for ``explain`` output."""
+        if self.backend == "record":
+            return (
+                f"1 shard of {self.distinct_records} distinct records "
+                "(unsharded, 1 worker)"
+            )
+        sizes = self.shard_sizes
+        if len(sizes) > 8:
+            shown = "/".join(str(s) for s in sizes[:8]) + f"/... ({len(sizes)} shards)"
+        else:
+            shown = "/".join(str(s) for s in sizes)
+        layout = (
+            f"{self.shards} shard(s) of {self.distinct_records} distinct records "
+            f"(sizes {shown}), {self._workers} {self._executor_kind} worker(s)"
         )
+        if self._mapped:
+            mib = self.bytes_mapped / float(1 << 20)
+            layout += f", memory-mapped ({mib:.1f} MiB on disk)"
+        return layout
 
     # ------------------------------------------------------------------ #
+    # counting
+    # ------------------------------------------------------------------ #
     def marginal(self, mask: int) -> np.ndarray:
-        mask = self.check_mask(mask)
-        ensure_dense_allowed(
-            hamming_weight(mask),
-            limit_bits=self._limit_bits,
-            what=f"the cuboid marginal {mask:#x}",
-        )
-        cached = self._memo.get(mask)
-        if cached is not None:
-            return cached.copy()
-        value = projected_marginals(self._codes, self._weights, mask, (mask,))[mask]
-        return self._memo_out(mask, value)
-
-    def _memo_out(self, mask: int, value: np.ndarray) -> np.ndarray:
-        """Store a freshly computed marginal and hand out a caller-owned array."""
-        if self._memo.put(mask, value):
-            return value.copy()
-        return value
+        return self.marginals_for_batches([(mask, (mask,))])[int(mask)]
 
     def marginals_for_batches(
         self, batches: Sequence[Tuple[int, Sequence[int]]]
     ) -> Dict[int, np.ndarray]:
-        observing = _obs.ENABLED
         values: Dict[int, np.ndarray] = {}
+        queued: set = set()
+        work: List[Tuple[int, Tuple[int, ...]]] = []
         for root, members in batches:
             root = self.check_mask(int(root))
             needed = []
             for member in members:
                 member = self.check_mask(int(member))
-                if member in values:
+                if member in values or member in queued:
                     continue
                 ensure_dense_allowed(
                     hamming_weight(member),
@@ -378,48 +650,132 @@ class RecordSource(CountSource):
                     values[member] = cached.copy()
                 else:
                     needed.append(member)
-            if not needed:
-                continue
-            if observing:
-                started = time.perf_counter()
-                with _obs.trace_span(
-                    "source.batch", root=f"{root:#x}", members=len(needed)
-                ):
-                    computed = projected_marginals(
-                        self._codes, self._weights, root, needed
-                    )
-                _obs.observe("source.batch_seconds", time.perf_counter() - started)
-                _obs.counter_inc("source.batches")
-            else:
-                computed = projected_marginals(
-                    self._codes, self._weights, root, needed
-                )
-            for member, value in computed.items():
-                values[member] = self._memo_out(member, value)
+                    queued.add(member)
+            if needed:
+                work.append((root, tuple(needed)))
+        if work:
+            for member, value in self._count(work).items():
+                # The memo keeps its own array; the caller gets a copy.
+                values[member] = value.copy() if self._memo.put(member, value) else value
         return values
+
+    def _count(self, work: "Worklist") -> Dict[int, np.ndarray]:
+        """Exact marginals of a deduplicated worklist, summed over shards."""
+        if len(self._shards) == 1 and not self._mapped:
+            codes, weights = self._shards[0]
+            return _batch_marginals(codes, weights, work, observe=_obs.ENABLED)
+        # Imported here: the repro.shards package imports this module.
+        from repro.shards.pool import reduce_shards
+
+        if self._mapped and _obs.ENABLED:
+            _obs.gauge_set("store.bytes_mapped", float(self.bytes_mapped))
+        return reduce_shards(
+            self._shards,
+            work,
+            _shard_kernel,
+            workers=self._workers,
+            kind=self._executor_kind,
+            policy=self._retry,
+        )
 
     def dense_vector(self) -> np.ndarray:
         ensure_dense_allowed(self._d, limit_bits=self._limit_bits)
-        return np.bincount(
-            self._codes, weights=self._weights, minlength=self.domain_size
-        ).astype(np.float64, copy=False)
+        total: Optional[np.ndarray] = None
+        for codes, weights in self._shards:
+            part = np.bincount(
+                codes, weights=weights, minlength=self.domain_size
+            ).astype(np.float64, copy=False)
+            if total is None:
+                total = part
+            else:
+                total += part
+        return total
 
+    def fourier_coefficients_for_masks(self, masks: Iterable[int]) -> Dict[int, float]:
+        """Base-class semantics, but every required top marginal is fetched
+        in ONE :meth:`marginals_for_batches` call before the small-Hadamard
+        loop runs (one pool dispatch on sharded layouts).
+
+        The mask ordering, skip logic and per-coefficient arithmetic mirror
+        :meth:`repro.sources.base.CountSource.fourier_coefficients_for_masks`
+        exactly, so the coefficients are bitwise identical — only the
+        marginal supplier is batched.
+        """
+        scale = 2.0 ** (self._d / 2.0)
+        ordered = sorted({int(m) for m in masks}, key=hamming_weight, reverse=True)
+        covered: set = set()
+        compute: List[int] = []
+        for mask in ordered:
+            if mask in covered:
+                continue
+            compute.append(mask)
+            covered.update(submasks_array(mask).tolist())
+        marginals = self.marginals_for_batches([(mask, (mask,)) for mask in compute])
+        coefficients: Dict[int, float] = {}
+        for mask in ordered:
+            if mask in coefficients:
+                continue
+            local = marginals[mask]
+            fwht_inplace(local)
+            local /= scale
+            for beta, value in zip(submasks_array(mask).tolist(), local.tolist()):
+                if beta not in coefficients:
+                    coefficients[beta] = value
+        return coefficients
+
+    # ------------------------------------------------------------------ #
+    # planner hooks
+    # ------------------------------------------------------------------ #
     def prefers_batch_root(self, root_mask: int) -> bool:
         """Refine from a shared root only while the root stays cheap.
 
         A record-native marginal costs ``O(n + 2**k)``; materialising a root
         wider than the record count and aggregating members from it would be
-        slower (and allocate more) than computing each member directly.
+        slower (and allocate more) than computing each member directly.  A
+        root over the memory-budget ceiling (:meth:`max_root_cells`) is
+        refused outright.
         """
         root_bits = hamming_weight(root_mask)
         if root_bits > self._limit_bits:
             return False
+        ceiling = self.max_root_cells()
+        if ceiling is not None and (1 << root_bits) > ceiling:
+            return False
         return (1 << root_bits) <= max(self.distinct_records, 1024)
 
     def marginal_cost(self, mask: int) -> float:
-        """Projected-bincount cost: one pass over the ``n`` distinct codes
-        plus the ``2**k`` output cells — independent of ``2**d``."""
-        return float(self.distinct_records) + float(2.0 ** hamming_weight(mask))
+        """Projected-bincount cost: a pass over the largest shard's codes
+        (the ``n`` distinct codes split across the parallel workers), the
+        ``2**k`` output cells per shard, a flat overhead per pool task, and
+        on mapped layouts an I/O term for streaming the shard files — every
+        direct scan re-reads them.  One unsharded shard costs ``n + 2**k``,
+        independent of ``2**d``."""
+        distinct = self.distinct_records
+        parallel = max(1, min(self._workers, self.shards))
+        serial_records = distinct / parallel if parallel > 1 else distinct
+        per_shard_records = max(float(max(self.shard_sizes)), serial_records)
+        cells = float(2.0 ** hamming_weight(mask)) * self.shards
+        overhead = DISPATCH_OVERHEAD if self._workers > 1 else 0.0
+        cost = per_shard_records + cells + overhead
+        if self._mapped:
+            cost += IO_COST_FACTOR * float(serial_records)
+        return cost
 
     def can_materialise(self, mask: int) -> bool:
         return hamming_weight(mask) <= self._limit_bits
+
+    def max_root_cells(self) -> Optional[int]:
+        """Memory ceiling on materialised batch roots under a budget.
+
+        The streamed shard reduction holds the running total plus up to
+        ``workers + 1`` in-flight shard results, each of root size; a root
+        the planner would pick purely on I/O grounds must not let those few
+        vectors outgrow the source's memory budget.  Trivial batches (the
+        root *is* the requested marginal) are exempt — the workload demands
+        that vector no matter what.
+        """
+        if self._memory_budget is None:
+            return None
+        resident = min(self._workers, self.shards) + 2
+        return max(1 << 16, self._memory_budget // (8 * resident))
+

@@ -12,7 +12,7 @@ into a :class:`~repro.sources.base.CountSource` under a backend policy:
 
 On top of the backend policy sit the shard knobs: ``shards=`` / ``workers=``
 partition a record-native source into hash shards computed on a worker pool
-(:class:`~repro.shards.sharded.ShardedRecordSource`).  Left unset, sources
+(:class:`~repro.sources.record.RecordSource` with ``shards > 1``).  Left unset, sources
 auto-shard above :data:`~repro.shards.partition.AUTO_SHARD_RECORDS` records
 on multi-core machines.  Sharding never changes values: seeded releases are
 bitwise identical for any shard and worker count.
@@ -85,31 +85,6 @@ def select_backend(
     return "dense" if dimension <= limit else "record"
 
 
-def sharded_record_source(
-    source: RecordSource,
-    shards: Optional[int] = None,
-    workers: Optional[int] = None,
-    *,
-    executor: str = "thread",
-) -> CountSource:
-    """Wrap a record source into shards when the resolved count exceeds 1.
-
-    The shard count resolves from the source's distinct record count
-    (explicit ``shards`` / ``workers`` win; see
-    :func:`repro.shards.partition.resolve_shard_count`); a resolved count of
-    1 returns the source unchanged.
-    """
-    from repro.shards.partition import resolve_shard_count
-    from repro.shards.sharded import ShardedRecordSource
-
-    count = resolve_shard_count(source.distinct_records, shards, workers=workers)
-    if count <= 1:
-        return source
-    return ShardedRecordSource.from_record_source(
-        source, shards=count, workers=workers, executor=executor
-    )
-
-
 def mapped_count_source(
     path: Union[str, Path],
     workload: MarginalWorkload,
@@ -179,7 +154,7 @@ def as_count_source(
     memory-mapped (``memory_budget`` caps its marginal-cache bytes;
     the knob is ignored for inputs that are already in memory).
     """
-    from repro.shards.partition import check_shard_knobs
+    from repro.shards.partition import check_shard_knobs, resolve_shard_count
 
     check_backend(backend)
     if isinstance(data, (str, Path)):
@@ -213,10 +188,9 @@ def as_count_source(
     if isinstance(data, ContingencyTable):
         if data.schema != schema:
             raise WorkloadError("table schema does not match the workload schema")
-        source = data.as_source(backend, limit_bits=limit_bits)
-        if isinstance(source, RecordSource):
-            return sharded_record_source(source, shards, workers)
-        return source
+        return data.as_source(
+            backend, limit_bits=limit_bits, shards=shards, workers=workers
+        )
     vector = np.asarray(data, dtype=np.float64)
     if vector.ndim != 1 or vector.shape[0] != workload.domain_size:
         raise WorkloadError(
@@ -226,12 +200,15 @@ def as_count_source(
         workload.dimension, backend, limit_bits=limit_bits, shards=shards
     )
     if resolved == "record":
-        return sharded_record_source(
-            RecordSource.from_vector(
-                vector, workload.dimension, schema=schema, limit_bits=limit_bits
+        return RecordSource.from_vector(
+            vector,
+            workload.dimension,
+            schema=schema,
+            limit_bits=limit_bits,
+            shards=resolve_shard_count(
+                int(np.count_nonzero(vector)), shards, workers=workers
             ),
-            shards,
-            workers,
+            workers=workers,
         )
     return DenseCubeSource(vector, workload.dimension, schema=schema)
 

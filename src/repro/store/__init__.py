@@ -6,10 +6,10 @@ the pipeline can consume **without copying them back into memory**:
 * :mod:`repro.store.encoded` — the encoded-source directory format (raw
   ``.npy`` shard files laid out by the stable-hash partition, plus a
   digest-pinned JSON manifest) with streaming writers and
-  :func:`~repro.store.encoded.open_source`;
-* :mod:`repro.store.mapped` — :class:`~repro.store.mapped.MappedRecordSource`,
-  a sharded record source whose kernels run on ``np.memmap`` views of those
-  files with per-shard page release (flat RSS on any dataset size);
+  :func:`~repro.store.encoded.open_source`, which maps the files into a
+  :class:`~repro.sources.record.RecordSource` whose kernels run on
+  ``np.memmap`` views with per-shard page release (flat RSS on any dataset
+  size);
 * :mod:`repro.store.spill` — disk-spilled sorted runs and their
   bounded-memory k-way merge, used by
   :class:`~repro.shards.streaming.StreamingSourceBuilder` under a
@@ -39,7 +39,6 @@ from repro.store.layout import (
     release_pages,
     sha256_of_array,
 )
-from repro.store.mapped import MappedRecordSource
 from repro.store.spill import (
     RunSpiller,
     merge_sorted_runs,
@@ -50,7 +49,6 @@ __all__ = [
     "SOURCE_FORMAT",
     "SOURCE_FORMAT_VERSION",
     "EncodedSourceWriter",
-    "MappedRecordSource",
     "NpyStreamWriter",
     "RunSpiller",
     "merge_sorted_runs",

@@ -11,8 +11,8 @@ An encoded source is a directory::
 
 The shard layout is **exactly** the stable-hash partition of
 :mod:`repro.shards.partition` applied to the globally sorted deduplicated
-``(codes, weights)`` arrays — the same layout an in-memory
-:class:`~repro.shards.sharded.ShardedRecordSource` builds — so a source
+``(codes, weights)`` arrays — the same layout an in-memory sharded
+:class:`~repro.sources.record.RecordSource` builds — so a source
 written once and reopened with :func:`open_source` computes bitwise-identical
 marginals through the unchanged per-shard kernels, straight off ``np.memmap``
 views of these files.
@@ -48,7 +48,6 @@ from repro.store.layout import (
     sha256_of_array,
     staging_path,
 )
-from repro.store.mapped import MappedRecordSource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.domain.schema import Schema
@@ -320,8 +319,8 @@ def open_source(
     marginal_cache_size: int = DEFAULT_MARGINAL_CACHE,
     memory_budget: Optional[Union[int, str]] = None,
     verify: bool = False,
-) -> MappedRecordSource:
-    """Memory-map an encoded source directory into a :class:`MappedRecordSource`.
+) -> RecordSource:
+    """Memory-map an encoded source directory into a :class:`RecordSource`.
 
     Opening reads only the manifest — shard data pages stream in lazily as
     kernels touch them.  With ``verify`` every shard file's data bytes are
@@ -345,20 +344,15 @@ def open_source(
     with _obs.trace_span(
         "store.open", source=str(root), shards=int(manifest["shards"])
     ):
-        shard_arrays: List[Tuple[np.ndarray, np.ndarray]] = []
-        bytes_mapped = 0
-        for entry in manifest["shard_files"]:
-            # Opening (and with verify=True, re-hashing) a shard is pure, so
-            # transient I/O failures are simply retried before giving up.
-            shard_codes, shard_weights = DEFAULT_RETRY_POLICY.run(
+        # Opening (and with verify=True, re-hashing) a shard is pure, so
+        # transient I/O failures are simply retried before giving up.
+        shard_arrays = [
+            DEFAULT_RETRY_POLICY.run(
                 _open_shard, root, entry, verify, what=f"open {entry['codes']}"
             )
-            shard_arrays.append((shard_codes, shard_weights))
-            bytes_mapped += int(shard_codes.nbytes + shard_weights.nbytes)
-        if _obs.ENABLED:
-            _obs.counter_inc("store.opens")
-            _obs.gauge_set("store.bytes_mapped", float(bytes_mapped))
-        return MappedRecordSource(
+            for entry in manifest["shard_files"]
+        ]
+        source = RecordSource.from_shards(
             shard_arrays,
             dimension=int(manifest["dimension"]),
             schema=schema,
@@ -366,11 +360,12 @@ def open_source(
             limit_bits=limit_bits,
             marginal_cache_size=marginal_cache_size,
             memory_budget=budget_bytes,
-            distinct_records=int(manifest["distinct"]),
             total_weight=float(manifest["total_weight"]),
-            root=root,
-            bytes_mapped=bytes_mapped,
         )
+        if _obs.ENABLED:
+            _obs.counter_inc("store.opens")
+            _obs.gauge_set("store.bytes_mapped", float(source.bytes_mapped))
+        return source
 
 
 def _load_shard_array(root: Path, path: Path, expected_entries: int) -> np.ndarray:

@@ -18,7 +18,6 @@ from repro.mechanisms import PrivacyBudget
 from repro.plan import BatchCost, Planner, batched_marginals, cost_marginal_batches
 from repro.plan.lattice import MarginalBatch
 from repro.queries import all_k_way
-from repro.shards import ShardedRecordSource
 from repro.sources import DenseCubeSource, RecordSource
 from repro.strategies import query_strategy
 
@@ -81,7 +80,7 @@ class TestDecisions:
     def test_sharded_cost_accounts_for_parallelism(self):
         codes = np.arange(4000, dtype=np.int64)
         serial = RecordSource(codes, dimension=13)
-        parallel = ShardedRecordSource(codes, dimension=13, shards=4, workers=4)
+        parallel = RecordSource(codes, dimension=13, shards=4, workers=4)
         mask = 0b11
         # Four workers split the record pass; the estimate must be cheaper
         # than serial once the per-task overhead is amortised.

@@ -20,7 +20,7 @@ from repro.data import synthetic_nltcs
 from repro.exceptions import ShardError
 from repro.queries import all_k_way
 from repro.resilience import FaultPlan, FaultSpec, RetryPolicy, fault_injection
-from repro.shards.sharded import ShardedRecordSource
+from repro.sources import RecordSource
 from repro.store import open_source, write_source
 
 
@@ -165,8 +165,15 @@ class TestRetryPolicyThreading:
     def test_custom_policy_reaches_the_dispatch_layer(self, inputs):
         dataset, workload = inputs
         base = dataset.as_source(backend="record")
-        source = ShardedRecordSource.from_record_source(
-            base, shards=4, workers=2, retry_policy=RetryPolicy(max_attempts=1)
+        source = RecordSource(
+            base.codes,
+            base.weights,
+            dimension=base.dimension,
+            schema=base.schema,
+            deduplicate=False,
+            shards=4,
+            workers=2,
+            retry_policy=RetryPolicy(max_attempts=1),
         )
         plan = FaultPlan([FaultSpec("shards.task", hits=(1,))])
         with fault_injection(plan):

@@ -4,11 +4,15 @@ The tentpole guarantee of ``repro.shards``: partitioning the ``(codes,
 weights)`` arrays by the stable code hash and summing per-shard marginals in
 fixed shard order reproduces the unsharded record-native values **bitwise**
 — integer tuple counts sum exactly in float64 in any order — for any shard
-count S, any worker count, and both executor kinds.  Seeded releases
-therefore reproduce exactly no matter how the measurement was parallelised.
+count S, any worker count, both executor kinds, and shards memory-mapped
+from an on-disk encoded source.  Seeded releases therefore reproduce exactly
+no matter how the measurement was parallelised or where the arrays live.
 """
 
 from __future__ import annotations
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +22,8 @@ from repro.core.engine import release_marginals
 from repro.domain import Dataset, Schema
 from repro.exceptions import DataError
 from repro.queries import MarginalQuery, MarginalWorkload
+from repro.resilience import FaultPlan, FaultSpec, fault_injection
 from repro.shards import (
-    ShardedRecordSource,
     StreamingSourceBuilder,
     partition_codes,
     resolve_shard_count,
@@ -27,6 +31,7 @@ from repro.shards import (
     shard_of_codes,
 )
 from repro.sources import RecordSource
+from repro.store import open_source, write_source
 
 SETTINGS = settings(
     max_examples=20,
@@ -36,6 +41,10 @@ SETTINGS = settings(
 
 D = 5
 SHARD_COUNTS = (1, 2, 3, 8)
+
+#: Where the shard arrays live: hash-partitioned in memory, or written as an
+#: encoded source and memory-mapped back by ``open_source``.
+LAYOUTS = ("memory", "disk")
 
 workload_masks = st.lists(
     st.integers(1, (1 << D) - 1), min_size=1, max_size=6, unique=True
@@ -54,6 +63,13 @@ def make_inputs(masks, rows):
         [[(code >> bit) & 1 for bit in range(D)] for code in rows], dtype=np.int64
     )
     return workload, Dataset(schema, records, name="sharded-equivalence")
+
+
+def layout_source(layout, codes, shards, workers, directory):
+    if layout == "memory":
+        return RecordSource(codes, dimension=D, shards=shards, workers=workers)
+    path = write_source(Path(directory) / "src", codes, dimension=D, shards=shards)
+    return open_source(path, workers=workers)
 
 
 class TestPartition:
@@ -99,7 +115,8 @@ class TestPartition:
         rng = np.random.default_rng(7)
         records = rng.integers(0, 2, (120, D))
         source = Dataset(schema, records).as_source(backend="record")
-        assert isinstance(source, ShardedRecordSource)
+        assert isinstance(source, RecordSource)
+        assert source.backend == "sharded-record"
         assert source.shards == 4
         small = Dataset(schema, records[:10]).as_source(backend="record")
         assert isinstance(small, RecordSource)
@@ -107,17 +124,61 @@ class TestPartition:
 
 class TestShardedMarginalsMatchUnsharded:
     @SETTINGS
-    @given(record_rows, st.sampled_from(SHARD_COUNTS), st.sampled_from([1, 2]))
-    def test_source_marginals_bitwise(self, rows, shards, workers):
+    @given(
+        record_rows,
+        st.sampled_from(SHARD_COUNTS),
+        st.sampled_from([1, 2]),
+        st.sampled_from(LAYOUTS),
+    )
+    def test_source_marginals_bitwise(self, rows, shards, workers, layout):
         codes = np.array(rows, dtype=np.int64)
         base = RecordSource(codes, dimension=D)
-        sharded = ShardedRecordSource(
-            codes, dimension=D, shards=shards, workers=workers
+        with tempfile.TemporaryDirectory() as directory:
+            sharded = layout_source(layout, codes, shards, workers, directory)
+            assert sharded.distinct_records == base.distinct_records
+            assert sharded.total == base.total
+            for mask in range(1, 1 << D):
+                assert np.array_equal(base.marginal(mask), sharded.marginal(mask))
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_layout_is_read_off_the_arrays(self, tmp_path, layout, shards):
+        """The backend label, the fault site and the executor rule follow
+        from where the arrays live; the counts never do."""
+        codes = np.random.default_rng(3).integers(0, 1 << D, 500)
+        base = RecordSource(codes, dimension=D)
+        source = layout_source(layout, codes, shards, 2, tmp_path)
+        batches = [(0b11111, (0b11, 0b10100, 0b11111)), (0b01110, (0b01110, 0b0110))]
+        masks = [0b11011, 0b111, 0b10001]
+        # Schedules that never trigger: only the per-site hit counts matter.
+        plan = FaultPlan(
+            [FaultSpec("shards.task", hits=(10**9,)), FaultSpec("store.read", hits=(10**9,))]
         )
-        assert sharded.distinct_records == base.distinct_records
-        assert sharded.total == base.total
-        for mask in range(1, 1 << D):
-            assert np.array_equal(base.marginal(mask), sharded.marginal(mask))
+        with fault_injection(plan) as injector:
+            values = source.marginals_for_batches(batches)
+            coefficients = source.fourier_coefficients_for_masks(masks)
+        expected = base.marginals_for_batches(batches)
+        assert values.keys() == expected.keys()
+        for mask, value in expected.items():
+            assert np.array_equal(values[mask], value)
+        reference = base.fourier_coefficients_for_masks(masks)
+        assert coefficients.keys() == reference.keys()
+        for beta, value in reference.items():
+            assert coefficients[beta] == value
+        hits = injector.hit_counts
+        if layout == "disk":
+            assert source.backend == "mapped-record"
+            assert hits.get("store.read", 0) >= shards and "shards.task" not in hits
+            with pytest.raises(DataError, match="process pool"):
+                RecordSource.from_shards(
+                    source.shard_arrays, dimension=D, executor="process"
+                )
+        elif shards > 1:
+            assert source.backend == "sharded-record"
+            assert hits.get("shards.task", 0) >= shards and "store.read" not in hits
+        else:
+            assert source.backend == "record"
+            assert hits == {}
 
     @SETTINGS
     @given(workload_masks, record_rows, strategy_names, seeds)
@@ -144,10 +205,10 @@ class TestShardedMarginalsMatchUnsharded:
 
     def test_process_pool_matches_thread_pool(self):
         codes = np.random.default_rng(11).integers(0, 1 << 12, 3000)
-        thread = ShardedRecordSource(
+        thread = RecordSource(
             codes, dimension=12, shards=3, workers=2, executor="thread"
         )
-        process = ShardedRecordSource(
+        process = RecordSource(
             codes, dimension=12, shards=3, workers=2, executor="process"
         )
         for mask in (0b1, 0b1111, 0xABC, (1 << 12) - 1):
@@ -156,7 +217,7 @@ class TestShardedMarginalsMatchUnsharded:
     def test_fourier_coefficients_bitwise(self):
         codes = np.random.default_rng(3).integers(0, 1 << D, 500)
         base = RecordSource(codes, dimension=D)
-        sharded = ShardedRecordSource(codes, dimension=D, shards=4, workers=2)
+        sharded = RecordSource(codes, dimension=D, shards=4, workers=2)
         masks = [0b11011, 0b111, 0b10001]
         left = base.fourier_coefficients_for_masks(masks)
         right = sharded.fourier_coefficients_for_masks(masks)
@@ -167,7 +228,7 @@ class TestShardedMarginalsMatchUnsharded:
     def test_dense_vector_matches(self):
         codes = np.random.default_rng(5).integers(0, 1 << 10, 800)
         base = RecordSource(codes, dimension=10)
-        sharded = ShardedRecordSource(codes, dimension=10, shards=5, workers=2)
+        sharded = RecordSource(codes, dimension=10, shards=5, workers=2)
         assert np.array_equal(base.dense_vector(), sharded.dense_vector())
 
     def test_streaming_builder_build_matches(self):
@@ -185,7 +246,7 @@ class TestShardedMarginalsMatchUnsharded:
 class TestShardedSourceApi:
     def test_layout_introspection(self):
         codes = np.arange(100, dtype=np.int64)
-        source = ShardedRecordSource(codes, dimension=10, shards=4, workers=1)
+        source = RecordSource(codes, dimension=10, shards=4, workers=1)
         assert source.shards == 4
         assert sum(source.shard_sizes) == 100
         assert source.backend == "sharded-record"
@@ -205,12 +266,12 @@ class TestShardedSourceApi:
         schema = Schema.binary([f"a{i}" for i in range(D)])
         dataset = Dataset(schema, np.zeros((4, D), dtype=np.int64))
         source = dataset.as_source(shards=3)
-        assert isinstance(source, ShardedRecordSource)
+        assert source.backend == "sharded-record"
         assert source.shards == 3
 
     def test_invalid_shard_count(self):
         with pytest.raises(DataError):
-            ShardedRecordSource(np.arange(4), dimension=3, shards=0)
+            RecordSource(np.arange(4), dimension=3, shards=0)
 
     def test_invalid_knobs_fail_even_on_dense_auto_domains(self):
         """Regression: a small domain resolves to the dense backend, which

@@ -10,11 +10,9 @@ import pytest
 from repro.domain import Schema
 from repro.exceptions import DataError
 from repro.shards.partition import shard_of_codes
-from repro.shards.sharded import ShardedRecordSource
 from repro.sources import RecordSource
 from repro.store import (
     EncodedSourceWriter,
-    MappedRecordSource,
     open_source,
     read_manifest,
     resolve_store_shards,
@@ -49,7 +47,8 @@ class TestWriteAndOpen:
         codes, weights = arrays
         path = write_source(tmp_path / "src", codes, weights, dimension=20, shards=4)
         source = open_source(path, verify=True)
-        assert isinstance(source, MappedRecordSource)
+        assert isinstance(source, RecordSource)
+        assert source.backend == "mapped-record"
         reference = RecordSource(codes, weights, dimension=20)
         assert source.distinct_records == reference.distinct_records
         assert source.total == reference.total
@@ -60,7 +59,9 @@ class TestWriteAndOpen:
         codes, weights = arrays
         path = write_source(tmp_path / "src", codes, weights, dimension=20, shards=3)
         base = RecordSource(codes, weights, dimension=20)
-        sharded = ShardedRecordSource.from_record_source(base, shards=3, workers=1)
+        sharded = RecordSource(
+            base.codes, base.weights, dimension=20, deduplicate=False, shards=3, workers=1
+        )
         ids = shard_of_codes(base.codes, 3)
         mapped = open_source(path)
         for shard in range(3):

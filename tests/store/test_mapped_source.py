@@ -1,4 +1,4 @@
-"""MappedRecordSource: bitwise kernels off memmap, planner I/O costing."""
+"""Memory-mapped record sources: bitwise kernels off memmap, planner I/O costing."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ from repro.exceptions import DataError
 from repro.plan.cost import cost_marginal_batches
 from repro.plan.lattice import MarginalBatch
 from repro.sources import RecordSource
+from repro.sources.record import IO_COST_FACTOR
 from repro.store import open_source, write_source
-from repro.store.mapped import IO_COST_FACTOR, MappedRecordSource
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +62,7 @@ class TestMappedConstruction:
         path, _ = stored
         mapped = open_source(path)
         with pytest.raises(DataError, match="process pool"):
-            MappedRecordSource(
+            RecordSource.from_shards(
                 mapped._shards, dimension=16, executor="process"
             )
 

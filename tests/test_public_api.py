@@ -7,6 +7,10 @@ examples rely on) so refactors cannot silently break downstream users.
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +90,25 @@ class TestSubpackageImports:
     )
     def test_module_imports_cleanly(self, module):
         importlib.import_module(module)
+
+    @pytest.mark.parametrize("module", ["repro", "repro.cli"])
+    def test_import_does_not_load_scipy_optimize(self, module):
+        """Cold start: only the convex budget solver and the LP consistency
+        projection need scipy.optimize, so they import it on first use."""
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [source_root, env.get("PYTHONPATH")])
+        )
+        probe = f"import sys, {module}; print('scipy.optimize' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        assert result.stdout.strip() == "False"
 
     def test_exceptions_share_base_class(self):
         from repro import exceptions
