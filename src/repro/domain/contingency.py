@@ -177,9 +177,10 @@ class ContingencyTable:
 
         ``"dense"`` (and ``"auto"`` below the dense limit) wraps the existing
         vector, sharing its memory; ``"record"`` (and ``"auto"`` above the
-        limit) converts the non-zero cells into a record-native source,
-        hash-sharded by ``shards`` / ``workers`` (auto-resolved from the
-        non-zero cell count when unset).  The single table→source dispatch
+        limit or with ``shards > 1``, as for a bare count vector) converts
+        the non-zero cells into a record-native source, hash-sharded by
+        ``shards`` / ``workers`` (auto-resolved from the non-zero cell count
+        when unset).  The single table→source dispatch
         rule — :func:`as_count_source` delegates here for table inputs.
         """
         from repro.shards.partition import resolve_shard_count
@@ -187,7 +188,10 @@ class ContingencyTable:
         from repro.sources.record import RecordSource
         from repro.sources.resolve import materialised_backend
 
-        if materialised_backend(self.dimension, backend, limit_bits=limit_bits) == "record":
+        resolved = materialised_backend(
+            self.dimension, backend, limit_bits=limit_bits, shards=shards
+        )
+        if resolved == "record":
             return RecordSource.from_vector(
                 self._counts,
                 self.dimension,

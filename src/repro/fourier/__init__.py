@@ -11,8 +11,12 @@ runs on batched NumPy kernels instead of per-cell Python loops:
   (:func:`fwht_batch`);
 * :mod:`repro.fourier.index` — :class:`WorkloadFourierIndex`, the cached
   per-workload gather/scatter maps between compact marginal slots and the
-  global coefficient array, plus the vectorized bit-projection helpers
-  (:func:`project_indices`, :func:`expand_indices`, :func:`submasks_array`).
+  global coefficient array (including each coefficient's slot in the
+  marginal over the union of the query masks, from which
+  :meth:`repro.sources.base.CountSource.fourier_coefficients_for_masks`
+  gathers the whole support after one butterfly), plus the vectorized
+  bit-projection helpers (:func:`project_indices`, :func:`expand_indices`,
+  :func:`submasks_array`).
 
 All kernels are bitwise identical to the historical scalar implementations
 (same pairwise add/sub associativity), so seeded releases reproduce exactly.

@@ -13,7 +13,12 @@ once per workload, as arrays:
   stacked and pushed through one batched butterfly
   (:func:`repro.fourier.kernels.fwht_inplace`);
 * the flat cell layout of the workload (the concatenation order used by the
-  consistency and recovery code).
+  consistency and recovery code);
+* the union ``U`` of the query masks and each support coefficient's compact
+  slot in the ``2**|U|`` marginal over ``U``, so every coefficient of ``F``
+  can be gathered from one butterfly over that marginal, plus the maximal
+  query masks (those not dominated by another), which the per-mask
+  measurement loop transforms instead.
 
 Indexes are cached by ``(dimension, query masks)``, so repeated consistency
 projections and reconstructions over the same workload pay the precomputation
@@ -23,8 +28,8 @@ results are bitwise identical to the pre-index implementation.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -134,6 +139,13 @@ class WorkloadFourierIndex:
         """The (cached) index of a workload, keyed by ``(d, query masks)``."""
         return _cached_index(workload.dimension, workload.masks)
 
+    @classmethod
+    def for_masks(cls, dimension: int, masks: Iterable[int]) -> "WorkloadFourierIndex":
+        """The (cached) index of a mask collection; repeats are dropped,
+        first occurrence kept, so a workload's own masks share its entry."""
+        unique = tuple(dict.fromkeys(int(mask) for mask in masks))
+        return _cached_index(int(dimension), unique)
+
     # ------------------------------------------------------------------ #
     @property
     def dimension(self) -> int:
@@ -163,6 +175,39 @@ class WorkloadFourierIndex:
     def slots_for(self, position: int) -> np.ndarray:
         """Global coefficient slots of query ``position``, by compact index."""
         return self._slots[position]
+
+    @cached_property
+    def union_mask(self) -> int:
+        """``U``, the bitwise OR of every query mask."""
+        union = 0
+        for mask in self._query_masks:
+            union |= mask
+        return union
+
+    @cached_property
+    def union_slots(self) -> np.ndarray:
+        """Compact slot of each support coefficient in the marginal over
+        :attr:`union_mask` (aligned with :attr:`coefficient_masks`).
+
+        Since every ``beta ⪯ U``, coefficient ``beta`` is entry
+        ``union_slots[i]`` of the unnormalised butterfly of ``C^U x``.
+        """
+        return project_indices(self._coefficient_masks, self.union_mask)
+
+    @cached_property
+    def maximal_masks(self) -> Tuple[int, ...]:
+        """Query masks not dominated by another query mask, widest first.
+
+        Ties keep the order of ``sorted`` over the set of query masks, so
+        the per-mask measurement loop visits masks in its historical order.
+        """
+        covered: set = set()
+        maximal: List[int] = []
+        for mask in sorted(set(self._query_masks), key=hamming_weight, reverse=True):
+            if mask not in covered:
+                maximal.append(mask)
+                covered.update(iter_submasks(mask))
+        return tuple(maximal)
 
     # ------------------------------------------------------------------ #
     def coefficient_array_from_mapping(self, coefficients: Mapping[int, float]) -> np.ndarray:

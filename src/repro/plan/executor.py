@@ -14,8 +14,9 @@ batched passes:
      ``2**||root||`` cells.  Record-native sources skip roots that would
      cost more than direct per-member passes
      (:meth:`~repro.sources.base.CountSource.prefers_batch_root`);
-   * ``"fourier"``: the targeted small-Hadamard computation of all required
-     coefficients from the source's exact marginals;
+   * ``"fourier"``: all required coefficients from the source's exact
+     marginals (one butterfly over the union marginal where exact, see
+     :meth:`~repro.sources.base.CountSource.fourier_coefficients_for_masks`);
    * ``"matrix"``: one dense strategy-matrix product (dense-only: a
      record-native source above the dense limit raises a targeted
      :class:`~repro.exceptions.DataError` instead of allocating ``2**d``).

@@ -131,19 +131,24 @@ class Planner:
         fully data-independent and the executor decides at run time.
         """
         allocation = self.allocation(budget)
+        etas = np.asarray(allocation.group_budgets, dtype=np.float64)
+        # One elementwise conversion over the measured groups: the same
+        # IEEE division per group as a scalar call, so the same bits.
+        measured = etas > 0.0
+        scales: List[Optional[float]] = [None] * etas.shape[0]
+        if measured.any():
+            if allocation.is_pure:
+                converted = laplace_scale_for_budget(etas[measured])
+            else:
+                converted = gaussian_sigma_for_budget(
+                    etas[measured], allocation.budget.delta
+                )
+            for position, scale in zip(np.flatnonzero(measured).tolist(), converted.tolist()):
+                scales[position] = scale
         groups: List[PlanGroup] = []
         for position, (spec, eta) in enumerate(
             zip(allocation.groups, allocation.group_budgets)
         ):
-            if eta > 0.0:
-                if allocation.is_pure:
-                    scale = float(laplace_scale_for_budget(eta)[0])
-                else:
-                    scale = float(
-                        gaussian_sigma_for_budget(eta, allocation.budget.delta)[0]
-                    )
-            else:
-                scale = None
             groups.append(
                 PlanGroup(
                     label=spec.label,
@@ -152,7 +157,7 @@ class Planner:
                     constant=spec.constant,
                     weight=spec.weight,
                     budget=float(eta),
-                    noise_scale=scale,
+                    noise_scale=scales[position],
                 )
             )
         row_budgets = None

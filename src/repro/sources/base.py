@@ -6,8 +6,11 @@ from the data:
 * the exact marginal ``C^alpha x`` of an arbitrary cuboid mask ``alpha``
   (the ``"marginal"`` kernel of the plan executor), and
 * the exact Fourier coefficients of the workload's support (the
-  ``"fourier"`` kernel), each of which is a small Hadamard transform of a
-  marginal (Theorem 4.1).
+  ``"fourier"`` kernel).  By Theorem 4.1 every ``beta ⪯ alpha`` is one entry
+  of the Hadamard transform of the marginal ``C^alpha x``, so the whole
+  support is gathered from ONE exact marginal over the union ``U`` of the
+  query masks and ONE butterfly over its ``2**|U|`` cells, instead of one
+  marginal pass per query mask.
 
 Historically both were computed from the dense count vector ``x`` of length
 ``N = 2**d``, which hard-caps the pipeline at ``d`` around 24–26 bits no
@@ -27,7 +30,11 @@ against either representation:
 Because the exact counts are integers (and float64 addition of integers
 below ``2**53`` is exact in any order), both backends produce **bitwise
 identical** exact values; the executor's single vectorized noise draw then
-makes whole seeded releases bitwise identical across backends.
+makes whole seeded releases bitwise identical across backends.  The same
+argument makes the union-marginal Fourier path bitwise identical to the
+per-mask one: every intermediate of the marginal sum and of the butterfly
+is a signed sum of counts, hence an exact integer below ``2**53``.  Sources
+whose counts are not such integers keep the per-mask loop.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import DataError, DomainSizeError
-from repro.fourier.index import submasks_array
+from repro.fourier.index import WorkloadFourierIndex, submasks_array
 from repro.fourier.kernels import fwht_inplace
 from repro.utils.bits import hamming_weight
 
@@ -70,6 +77,37 @@ def ensure_dense_allowed(
             "backend='record' on the release engine) which never allocates "
             "the full domain"
         )
+
+
+#: Float64 holds every integer of magnitude below ``2**53`` exactly.
+EXACT_INTEGER_LIMIT = 2.0**53
+
+#: Elements checked per step by :func:`exact_integer_counts`, bounding its
+#: temporaries on wide dense vectors.
+_CHECK_CHUNK = 1 << 16
+
+
+def exact_integer_counts(arrays: Iterable[np.ndarray]) -> bool:
+    """Whether the counts in ``arrays`` are integers with ``sum |v| < 2**53``.
+
+    Under that condition every partial sum of the counts, in any order and
+    with any signs, is an exactly representable integer, so float64
+    reductions and butterflies over them are exact.  Negative zeros are
+    rejected too: their sign could survive one summation order and not
+    another.
+    """
+    magnitude = 0.0
+    for values in arrays:
+        for start in range(0, values.shape[0], _CHECK_CHUNK):
+            chunk = np.asarray(values[start : start + _CHECK_CHUNK], dtype=np.float64)
+            if not np.array_equal(np.trunc(chunk), chunk):
+                return False
+            if np.signbit(chunk[chunk == 0.0]).any():
+                return False
+            magnitude += float(np.abs(chunk).sum())
+            if not magnitude < EXACT_INTEGER_LIMIT:
+                return False
+    return True
 
 
 def validate_count_vector(
@@ -170,6 +208,17 @@ class CountSource(ABC):
         """
         return True
 
+    def has_exact_integer_counts(self) -> bool:
+        """Whether every count is an integer and ``sum |x| < 2**53``
+        (:func:`exact_integer_counts`), so any float64 summation or
+        butterfly over the counts is exact and order-independent.
+
+        Gates the one-pass Fourier measurement.  The default answers
+        ``False``, which keeps the per-mask loop; backends that can inspect
+        their counts cheaply override it.
+        """
+        return False
+
     def derive_cost(self, root_mask: int, member_mask: int) -> float:
         """Estimated cost of aggregating ``member_mask`` from a materialised
         ``root_mask`` marginal (one pass over the root's cells)."""
@@ -229,23 +278,68 @@ class CountSource(ABC):
     def fourier_coefficients_for_masks(self, masks: Iterable[int]) -> Dict[int, float]:
         """Coefficients ``{beta: <f^beta, x>}`` for every ``beta ⪯ some mask``.
 
-        Mirrors :func:`repro.transforms.hadamard.fourier_coefficients_for_masks`
-        exactly — same mask ordering, same small-Hadamard arithmetic on the
-        exact marginal — so the coefficients are bitwise identical across
-        backends; only the marginal supplier differs.
+        Two routes; the union route runs only where it reproduces the
+        per-mask route's bits:
+
+        * **union** — one exact marginal over the union ``U`` of the masks,
+          one unnormalised butterfly over its ``2**|U|`` cells, a gather of
+          the support through the cached
+          :class:`~repro.fourier.index.WorkloadFourierIndex` slots, and the
+          division by ``2**(d/2)``;
+        * **per mask** — the historical loop: the marginal of every maximal
+          mask (fetched in one :meth:`marginals_for_batches` call), each
+          transformed on its own, widest mask first, first value kept.
+
+        The unnormalised transform of ``C^alpha x`` at ``beta`` is the same
+        signed sum of counts for every ``alpha ⪰ beta``; with exact integer
+        counts (:meth:`has_exact_integer_counts`) both routes compute it
+        without rounding, so the union route is taken whenever the source's
+        cost hooks price ``marginal_cost(U) + |U| 2**|U|`` no dearer than the
+        per-mask passes and ``U`` is materialisable within
+        :meth:`max_root_cells`.  Otherwise the per-mask loop runs.
         """
-        d = self.dimension
-        scale = 2.0 ** (d / 2.0)
+        requested = [int(mask) for mask in masks]
+        if not requested:
+            return {}
+        union = 0
+        for mask in requested:
+            union |= mask
+        # A negative or out-of-domain mask makes the union one too.
+        self.check_mask(union)
+        if not self.can_materialise(union):
+            for mask in requested:
+                if not self.can_materialise(mask):
+                    # Refuse before the index enumerates 2**|mask| submasks.
+                    self.marginal(mask)
+        index = WorkloadFourierIndex.for_masks(self.dimension, requested)
+        scale = 2.0 ** (self.dimension / 2.0)
+        tops = index.maximal_masks
+        if self._union_pays(union, tops):
+            local = self.marginal(union)
+            fwht_inplace(local)
+            return index.coefficients_dict(local[index.union_slots] / scale)
+        marginals = self.marginals_for_batches([(mask, (mask,)) for mask in tops])
         coefficients: Dict[int, float] = {}
-        for mask in sorted({int(m) for m in masks}, key=hamming_weight, reverse=True):
-            if mask in coefficients:
-                continue
-            # marginal() returns a fresh float64 array (contract above), so
-            # the in-place butterfly can run on it directly.
-            local = self.marginal(mask)
+        for mask in tops:
+            # marginals_for_batches returns fresh float64 arrays, so the
+            # in-place butterfly can run on them directly.
+            local = marginals[mask]
             fwht_inplace(local)
             local /= scale
             for beta, value in zip(submasks_array(mask).tolist(), local.tolist()):
                 if beta not in coefficients:
                     coefficients[beta] = value
         return coefficients
+
+    def _union_pays(self, union: int, tops: Sequence[int]) -> bool:
+        """Whether the one-pass union route is allowed and no dearer."""
+        width = hamming_weight(union)
+        if not self.can_materialise(union):
+            return False
+        ceiling = self.max_root_cells()
+        if ceiling is not None and (1 << width) > ceiling:
+            return False
+        union_cost = self.marginal_cost(union) + width * float(1 << width)
+        if union_cost > sum(self.marginal_cost(mask) for mask in tops):
+            return False
+        return self.has_exact_integer_counts()

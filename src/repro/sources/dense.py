@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.domain.contingency import marginal_from_cube
-from repro.sources.base import CountSource, validate_count_vector
+from repro.sources.base import CountSource, exact_integer_counts, validate_count_vector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.domain.contingency import ContingencyTable
@@ -88,3 +88,6 @@ class DenseCubeSource(CountSource):
 
     def dense_vector(self) -> np.ndarray:
         return self._vector
+
+    def has_exact_integer_counts(self) -> bool:
+        return exact_integer_counts([self._vector])

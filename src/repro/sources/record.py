@@ -38,8 +38,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.exceptions import DataError
-from repro.fourier.index import project_indices, submasks_array
-from repro.fourier.kernels import fwht_inplace
+from repro.fourier.index import project_indices
 from repro.obs import runtime as _obs
 from repro.obs.cachestats import CacheStats
 from repro.resilience import faults as _faults
@@ -48,6 +47,7 @@ from repro.sources.base import (
     DENSE_LIMIT_BITS,
     CountSource,
     ensure_dense_allowed,
+    exact_integer_counts,
     validate_count_vector,
 )
 from repro.utils.bits import bit_indices, hamming_weight
@@ -691,37 +691,10 @@ class RecordSource(CountSource):
                 total += part
         return total
 
-    def fourier_coefficients_for_masks(self, masks: Iterable[int]) -> Dict[int, float]:
-        """Base-class semantics, but every required top marginal is fetched
-        in ONE :meth:`marginals_for_batches` call before the small-Hadamard
-        loop runs (one pool dispatch on sharded layouts).
-
-        The mask ordering, skip logic and per-coefficient arithmetic mirror
-        :meth:`repro.sources.base.CountSource.fourier_coefficients_for_masks`
-        exactly, so the coefficients are bitwise identical — only the
-        marginal supplier is batched.
-        """
-        scale = 2.0 ** (self._d / 2.0)
-        ordered = sorted({int(m) for m in masks}, key=hamming_weight, reverse=True)
-        covered: set = set()
-        compute: List[int] = []
-        for mask in ordered:
-            if mask in covered:
-                continue
-            compute.append(mask)
-            covered.update(submasks_array(mask).tolist())
-        marginals = self.marginals_for_batches([(mask, (mask,)) for mask in compute])
-        coefficients: Dict[int, float] = {}
-        for mask in ordered:
-            if mask in coefficients:
-                continue
-            local = marginals[mask]
-            fwht_inplace(local)
-            local /= scale
-            for beta, value in zip(submasks_array(mask).tolist(), local.tolist()):
-                if beta not in coefficients:
-                    coefficients[beta] = value
-        return coefficients
+    def has_exact_integer_counts(self) -> bool:
+        """Checked on the per-code weights: every cell count is a sum of
+        them, so integer weights with ``sum |w| < 2**53`` bound it."""
+        return exact_integer_counts(weights for _, weights in self._shards)
 
     # ------------------------------------------------------------------ #
     # planner hooks

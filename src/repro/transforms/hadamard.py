@@ -88,9 +88,9 @@ def fourier_coefficients_for_masks(
 
     ``masks`` is typically ``workload.fourier_masks()`` or the workload's
     query masks; in the latter case all dominated coefficients are included.
-    Delegates to the dense count source, which owns the single
-    implementation of the widest-mask-first coefficient loop (shared with
-    the record-native backend so the two stay bitwise identical).
+    Delegates to the dense count source, which runs the one coefficient
+    implementation every backend shares
+    (:meth:`repro.sources.base.CountSource.fourier_coefficients_for_masks`).
     """
     from repro.sources.dense import DenseCubeSource
 

@@ -8,6 +8,7 @@ import pytest
 from repro.core import MarginalReleaseEngine
 from repro.exceptions import PlanError, WorkloadError
 from repro.mechanisms import PrivacyBudget
+from repro.mechanisms.noise import gaussian_sigma_for_budget, laplace_scale_for_budget
 from repro.plan import Executor, Planner
 from repro.queries import all_k_way
 from repro.queries.matrix import strategy_matrix_from_masks
@@ -45,6 +46,29 @@ class TestPlanner:
         sigma = np.sqrt(2.0 * np.log(2.0 / 1e-6))
         for group in plan.groups:
             assert group.noise_scale == pytest.approx(sigma / group.budget)
+
+    @pytest.mark.parametrize("name", ["Q", "F"])
+    @pytest.mark.parametrize(
+        "budget", [PrivacyBudget.pure(0.9), PrivacyBudget.approximate(0.9, 1e-6)]
+    )
+    def test_scales_equal_the_scalar_conversion(self, workload_2way_5, name, budget):
+        weights = [0.0 if i % 3 == 0 else 1.0 + i for i in range(len(workload_2way_5))]
+        planner = Planner(
+            workload_2way_5, make_strategy(name, workload_2way_5), query_weights=weights
+        )
+        plan = planner.plan(budget)
+        unmeasured = 0
+        for group in plan.groups:
+            if group.budget == 0.0:
+                assert group.noise_scale is None
+                unmeasured += 1
+                continue
+            if budget.is_pure:
+                scalar = float(laplace_scale_for_budget(group.budget)[0])
+            else:
+                scalar = float(gaussian_sigma_for_budget(group.budget, budget.delta)[0])
+            assert np.float64(group.noise_scale).tobytes() == np.float64(scalar).tobytes()
+        assert 0 < unmeasured < len(plan.groups)
 
     def test_expected_variance_matches_allocation(self, planner_q):
         budget = PrivacyBudget.pure(0.7)

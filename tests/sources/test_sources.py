@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.engine import release_marginals
 from repro.domain import ContingencyTable, Dataset, Schema
+from repro.domain.contingency import marginal_from_vector
 from repro.exceptions import DataError, WorkloadError
 from repro.queries import all_k_way
 from repro.sources import (
@@ -17,6 +22,9 @@ from repro.sources import (
     ensure_dense_allowed,
     select_backend,
 )
+from repro.fourier.kernels import fwht_inplace
+from repro.sources.base import exact_integer_counts
+from repro.store import open_source, write_source
 from repro.transforms.hadamard import fourier_coefficients_for_masks
 
 SETTINGS = settings(
@@ -69,15 +77,155 @@ class TestMarginals:
                 source.marginal(-1)
 
 
+def reference_coefficients(vector, requested, d):
+    """The per-mask loop written out: every requested mask's exact marginal,
+    transformed on its own, widest mask first, first value kept."""
+    scale = 2.0 ** (d / 2.0)
+    coefficients = {}
+    for mask in sorted(set(requested), key=lambda m: bin(m).count("1"), reverse=True):
+        local = marginal_from_vector(vector, mask, d)
+        fwht_inplace(local)
+        local /= scale
+        bits = [bit for bit in range(d) if mask >> bit & 1]
+        for compact, value in enumerate(local.tolist()):
+            beta = sum(1 << bit for j, bit in enumerate(bits) if compact >> j & 1)
+            coefficients.setdefault(beta, value)
+    return coefficients
+
+
+def fourier_sources(vector, directory):
+    """The Fourier-capable layouts over one count vector."""
+    d = vector.shape[0].bit_length() - 1
+    codes = np.flatnonzero(vector)
+    path = write_source(
+        Path(directory) / "src", codes, vector[codes], dimension=d, shards=2
+    )
+    return {
+        "dense": DenseCubeSource(vector),
+        "record": RecordSource.from_vector(vector),
+        "record-3": RecordSource.from_vector(vector, shards=3, workers=2),
+        "mapped": open_source(path),
+    }
+
+
+@st.composite
+def fourier_cases(draw):
+    d = draw(st.integers(2, 7))
+    counts = draw(st.lists(st.integers(0, 40), min_size=1 << d, max_size=1 << d))
+    vector = np.asarray(counts, dtype=np.float64)
+    if draw(st.booleans()):
+        # Quarter counts: not integers (the per-mask loop runs), yet every
+        # sum stays exact, so all layouts must still agree bitwise.
+        vector = vector / 4.0
+    requested = draw(
+        st.lists(st.integers(0, (1 << d) - 1), min_size=1, max_size=8, unique=True)
+    )
+    return vector, requested, d
+
+
 class TestFourierCoefficients:
     @SETTINGS
-    @given(count_vectors, mask_lists)
-    def test_backends_match_the_hadamard_helper(self, counts, requested):
-        dense, record = both_sources(counts)
-        vector = np.asarray(counts, dtype=np.float64)
-        expected = fourier_coefficients_for_masks(vector, requested, D)
-        assert dense.fourier_coefficients_for_masks(requested) == expected
-        assert record.fourier_coefficients_for_masks(requested) == expected
+    @given(fourier_cases())
+    def test_every_layout_matches_the_per_mask_reference(self, case):
+        vector, requested, d = case
+        expected = reference_coefficients(vector, requested, d)
+        with tempfile.TemporaryDirectory() as directory:
+            for name, source in fourier_sources(vector, directory).items():
+                got = source.fourier_coefficients_for_masks(requested)
+                assert got.keys() == expected.keys(), name
+                for beta, value in expected.items():
+                    assert np.float64(got[beta]).tobytes() == np.float64(value).tobytes(), (
+                        name, beta
+                    )
+        assert fourier_coefficients_for_masks(vector, requested, d) == expected
+
+    def test_exactness_gate(self):
+        assert exact_integer_counts([np.array([3.0, -2.0, 0.0])])
+        assert not exact_integer_counts([np.array([1.0, 0.5])])
+        assert not exact_integer_counts([np.array([1.0, -0.0])])
+        assert not exact_integer_counts([np.array([2.0**52]), np.array([2.0**52])])
+        assert not exact_integer_counts([np.array([np.nan])])
+        assert not exact_integer_counts([np.array([np.inf])])
+        record = RecordSource(np.array([1, 2]), np.array([1.0, 2.5]), dimension=3)
+        assert not record.has_exact_integer_counts()
+        assert RecordSource(np.array([1, 2]), dimension=3).has_exact_integer_counts()
+
+    def test_invalid_and_too_wide_masks_raise(self):
+        dense, record = both_sources(np.ones(1 << D))
+        for source in (dense, record):
+            for bad in ([1, 1 << D], [-1, 3]):
+                with pytest.raises(DataError):
+                    source.fourier_coefficients_for_masks(bad)
+        wide = RecordSource(np.array([0, 5]), dimension=40)
+        with pytest.raises(DataError, match="record-native"):
+            wide.fourier_coefficients_for_masks([0b1, (1 << 30) - 1])
+
+    def test_all_three_way_release_makes_one_marginal_pass(self, monkeypatch):
+        d = 10
+        schema = Schema.binary([f"a{i}" for i in range(d)])
+        workload = all_k_way(schema, 3)
+        vector = np.random.default_rng(4).integers(0, 30, 1 << d).astype(np.float64)
+        reference = release_marginals(vector, workload, 1.0, strategy="F", rng=9)
+        calls = []
+        original = DenseCubeSource.marginal
+
+        def spy(self, mask):
+            calls.append(mask)
+            return original(self, mask)
+
+        monkeypatch.setattr(DenseCubeSource, "marginal", spy)
+        source = DenseCubeSource(vector)
+        release = release_marginals(source, workload, 1.0, strategy="F", rng=9)
+        assert calls == [(1 << d) - 1]
+        for left, right in zip(release.marginals, reference.marginals):
+            assert left.tobytes() == right.tobytes()
+
+    def test_narrow_masks_never_transform_the_full_domain(self, monkeypatch):
+        import repro.sources.base as base
+
+        lengths = []
+        original = base.fwht_inplace
+
+        def spy(values):
+            lengths.append(values.shape[-1])
+            original(values)
+
+        monkeypatch.setattr(base, "fwht_inplace", spy)
+        vector = np.random.default_rng(5).integers(0, 9, 1 << 10).astype(np.float64)
+        source = DenseCubeSource(vector)
+        source.fourier_coefficients_for_masks([0b101])
+        assert lengths == [4]
+        lengths.clear()
+        source.fourier_coefficients_for_masks([0b11, 0b1100, 0b1])
+        assert lengths == [16]
+
+    def test_fractional_counts_keep_one_batched_fetch(self, monkeypatch):
+        vector = np.random.default_rng(6).random(1 << 6)
+        record = RecordSource.from_vector(vector)
+        fetches = []
+        original = RecordSource.marginals_for_batches
+
+        def spy(self, batches):
+            fetches.append([root for root, _ in batches])
+            return original(self, batches)
+
+        monkeypatch.setattr(RecordSource, "marginals_for_batches", spy)
+        record.fourier_coefficients_for_masks([0b111, 0b11, 0b111000, 0b1000])
+        assert len(fetches) == 1 and sorted(fetches[0]) == [0b111, 0b111000]
+
+    def test_inexact_counts_keep_the_per_mask_values(self):
+        """Rounded sums depend on their order, so fractional counts must
+        not take the union route: the per-mask values hold bitwise."""
+        d = 8
+        vector = np.random.default_rng(8).random(1 << d) * 1000.0
+        requested = list(all_k_way(Schema.binary([f"a{i}" for i in range(d)]), 3).masks)
+        expected = reference_coefficients(vector, requested, d)
+        got = DenseCubeSource(vector).fourier_coefficients_for_masks(requested)
+        assert got.keys() == expected.keys()
+        assert all(
+            np.float64(got[beta]).tobytes() == np.float64(value).tobytes()
+            for beta, value in expected.items()
+        )
 
 
 class TestRecordSource:
@@ -287,3 +435,15 @@ class TestResolution:
             as_count_source(table, workload, backend="dense", limit_bits=2).backend
             == "dense"
         )
+
+    def test_table_and_vector_honour_the_shard_knob_alike(self):
+        rng = np.random.default_rng(2)
+        small = all_k_way(Schema.binary(["a", "b", "c"]), 2)
+        table = ContingencyTable(small.schema, rng.integers(0, 20, 8).astype(np.float64))
+        for shards in (None, 1, 4):
+            from_table = as_count_source(table, small, shards=shards)
+            from_vector = as_count_source(table.counts, small, shards=shards)
+            assert from_table.backend == from_vector.backend
+            for mask in range(8):
+                assert from_table.marginal(mask).tobytes() == from_vector.marginal(mask).tobytes()
+        assert as_count_source(table, small, shards=4).backend == "sharded-record"
